@@ -210,32 +210,55 @@ vm::MatrixDesc MacoSystem::alloc_matrix_lazy(Process& process,
   return desc;
 }
 
+namespace {
+
+// Calls fn(pa, host_offset, bytes) for every page-bounded run of the
+// matrix's rows, where host_offset is the run's byte offset in the dense
+// row-major host copy. Each page a row spans is translated once. Runs
+// split at VA page boundaries, so an element that straddles a page lands
+// on each page's own frame. Unmapped pages assert.
+template <typename Fn>
+void for_each_page_run(const vm::PageTable& table, const vm::MatrixDesc& desc,
+                       const char* caller, Fn&& fn) {
+  MACO_ASSERT_MSG(desc.elem_bytes == sizeof(double),
+                  caller << " moves FP64 elements, got elem_bytes "
+                         << desc.elem_bytes);
+  const std::uint64_t row_bytes = desc.cols * sizeof(double);
+  for (std::uint64_t r = 0; r < desc.rows; ++r) {
+    const vm::VirtAddr va = desc.element_addr(r, 0);
+    for (std::uint64_t done = 0; done < row_bytes;) {
+      const std::uint64_t run = std::min(
+          row_bytes - done, vm::kPageSize - vm::page_offset(va + done));
+      const auto pa = table.translate(va + done);
+      MACO_ASSERT_MSG(pa.has_value(), "unmapped VA in " << caller);
+      fn(*pa, r * row_bytes + done, run);
+      done += run;
+    }
+  }
+}
+
+}  // namespace
+
 void MacoSystem::write_matrix(Process& process, const vm::MatrixDesc& desc,
                               const sa::HostMatrix& values) {
   MACO_ASSERT(values.rows() == desc.rows && values.cols() == desc.cols);
-  const vm::PageTable& table = process.space->page_table();
-  for (std::uint64_t r = 0; r < desc.rows; ++r) {
-    for (std::uint64_t c = 0; c < desc.cols; ++c) {
-      const vm::VirtAddr va = desc.element_addr(r, c);
-      const auto pa = table.translate(va);
-      MACO_ASSERT_MSG(pa.has_value(), "unmapped VA in write_matrix");
-      memory_.write_f64(*pa, values.at(r, c));
-    }
-  }
+  const auto* host =
+      reinterpret_cast<const std::uint8_t*>(values.data().data());
+  for_each_page_run(process.space->page_table(), desc, "write_matrix",
+                    [&](vm::PhysAddr pa, std::uint64_t at, std::uint64_t run) {
+                      memory_.write(pa, host + at, run);
+                    });
 }
 
 sa::HostMatrix MacoSystem::read_matrix(Process& process,
                                        const vm::MatrixDesc& desc) {
   sa::HostMatrix out(desc.rows, desc.cols);
-  const vm::PageTable& table = process.space->page_table();
-  for (std::uint64_t r = 0; r < desc.rows; ++r) {
-    for (std::uint64_t c = 0; c < desc.cols; ++c) {
-      const vm::VirtAddr va = desc.element_addr(r, c);
-      const auto pa = table.translate(va);
-      MACO_ASSERT_MSG(pa.has_value(), "unmapped VA in read_matrix");
-      out.at(r, c) = memory_.read_f64(*pa);
-    }
-  }
+  if (desc.rows == 0) return out;
+  auto* host = reinterpret_cast<std::uint8_t*>(out.row_ptr(0));
+  for_each_page_run(process.space->page_table(), desc, "read_matrix",
+                    [&](vm::PhysAddr pa, std::uint64_t at, std::uint64_t run) {
+                      memory_.read(pa, host + at, run);
+                    });
   return out;
 }
 

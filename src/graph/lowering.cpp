@@ -1,15 +1,37 @@
 #include "graph/lowering.hpp"
 
+#include <limits>
 #include <map>
+#include <optional>
 
 #include "graph/scheduler.hpp"
 #include "sa/latency_model.hpp"
+#include "util/bits.hpp"
 
 namespace maco::graph {
 
 namespace {
 
 [[noreturn]] void fail(const std::string& what) { throw GraphError(what); }
+
+// FLOP and byte counts grow as products of manifest dimensions, so they
+// are computed overflow-checked: a count that does not fit in 64 bits
+// fails naming its op instead of wrapping to a plausible small number.
+std::uint64_t checked(const std::string& op, const char* what,
+                      std::optional<std::uint64_t> value) {
+  if (!value) fail("op '" + op + "': " + what + " overflows 64 bits");
+  return *value;
+}
+
+std::uint64_t product(const std::string& op, const char* what,
+                      std::initializer_list<std::uint64_t> factors) {
+  return checked(op, what, util::checked_product(factors));
+}
+
+std::uint64_t sum(const std::string& op, const char* what, std::uint64_t a,
+                  std::uint64_t b) {
+  return checked(op, what, util::checked_add(a, b));
+}
 
 // Carries the resolved dims and the growing layer list through the
 // per-kind lowering rules.
@@ -34,13 +56,17 @@ class Lowerer {
       lower_op(graph_.ops[index]);
     }
     std::uint64_t total_flops = 0;
-    for (const OpContribution& op : model_.ops) total_flops += op.flops;
+    for (const OpContribution& op : model_.ops) {
+      total_flops = sum(op.op, "the model's FLOP total", total_flops,
+                        op.flops);
+      model_.total_bytes = sum(op.op, "the model's byte total",
+                               model_.total_bytes, op.bytes);
+    }
     for (OpContribution& op : model_.ops) {
       op.flops_frac = total_flops > 0
                           ? static_cast<double>(op.flops) /
                                 static_cast<double>(total_flops)
                           : 0.0;
-      model_.total_bytes += op.bytes;
     }
     return std::move(model_);
   }
@@ -64,21 +90,37 @@ class Lowerer {
 
   std::uint64_t elements(const TensorDecl& t) const {
     std::uint64_t count = 1;
-    for (const Dim& dim : t.dims) count *= resolve(dim);
+    for (const Dim& dim : t.dims) {
+      count = product(current_->op, "tensor element count",
+                      {count, resolve(dim)});
+    }
     return count;
   }
 
   // Appends one GEMM layer and charges it to the current contribution.
   void emit(std::string name, const sa::TileShape& shape, wl::PostOp post,
-            unsigned repeat) {
+            std::uint64_t repeat) {
+    const std::string& op = current_->op;
+    if (repeat > std::numeric_limits<unsigned>::max()) {
+      fail("op '" + op + "': repeat count " + std::to_string(repeat) +
+           " overflows");
+    }
     const std::uint64_t ebytes =
         sa::element_bytes(model_.workload.precision);
-    wl::Layer layer{std::move(name), shape, post, repeat};
-    current_->flops += layer.flops();
-    current_->bytes += (shape.m * shape.k + shape.k * shape.n +
-                        shape.m * shape.n) *
-                       ebytes * repeat;
-    model_.workload.layers.push_back(std::move(layer));
+    const std::uint64_t flops = product(
+        op, "FLOP count", {2, shape.m, shape.n, shape.k, repeat});
+    const std::uint64_t elems = sum(
+        op, "byte count",
+        sum(op, "byte count", product(op, "byte count", {shape.m, shape.k}),
+            product(op, "byte count", {shape.k, shape.n})),
+        product(op, "byte count", {shape.m, shape.n}));
+    current_->flops = sum(op, "FLOP count", current_->flops, flops);
+    current_->bytes =
+        sum(op, "byte count", current_->bytes,
+            product(op, "byte count", {elems, ebytes, repeat}));
+    model_.workload.layers.push_back(
+        wl::Layer{std::move(name), shape, post,
+                  static_cast<unsigned>(repeat)});
   }
 
   // ---- the per-kind rules ----
@@ -154,8 +196,8 @@ class Lowerer {
     // tile strata collapse and weight by.
     const std::uint64_t expert_tokens =
         (model_.tokens * top_k + experts - 1) / experts;
-    const auto expert_repeat =
-        static_cast<unsigned>(experts) * op.repeat;
+    const std::uint64_t expert_repeat =
+        product(op.name, "expert repeat count", {experts, op.repeat});
     emit(op.name + ".expert.ffn1",
          sa::TileShape{expert_tokens, op.attrs.ffn, hidden},
          wl::PostOp::kGelu, expert_repeat);
@@ -184,9 +226,10 @@ class Lowerer {
     }
     layer.post = op.attrs.fn;
     current_->fused_into = layer.name;
-    current_->bytes = 2 * elements(tensor(op.inputs[0])) *
-                      sa::element_bytes(model_.workload.precision) *
-                      layer.repeat;
+    current_->bytes = product(
+        op.name, "byte count",
+        {2, elements(tensor(op.inputs[0])),
+         sa::element_bytes(model_.workload.precision), layer.repeat});
     // The op's output aliases the producer layer, so a downstream op
     // chains to the same GEMM.
     for (const std::string& output : op.outputs) {

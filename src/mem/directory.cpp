@@ -7,15 +7,24 @@ namespace maco::mem {
 DirectoryCcm::DirectoryCcm(std::string name, const CcmConfig& config,
                            DramModel& dram, RecallFn recall)
     : name_(std::move(name)), config_(config), dram_(dram),
-      recall_(std::move(recall)), l3_(name_ + ".l3", config.l3) {
-  // The directory tracks every line ever touched, which dwarfs L3 residency
-  // on big runs; pre-sizing to several L3 populations absorbs the rehash
-  // storms the per-line handle() path otherwise pays while the map grows.
-  directory_.reserve(4 * config.l3.size_bytes / config.l3.line_bytes);
-}
+      recall_(std::move(recall)), l3_(name_ + ".l3", config.l3) {}
 
 DirectoryCcm::DirEntry& DirectoryCcm::entry(std::uint64_t line) {
-  return directory_[line];
+  const DirSlot slot = dir_slot(line);
+  if (slot.chunk_key != last_key_) {
+    auto& chunk = chunks_[slot.chunk_key];
+    if (!chunk) chunk = std::make_unique<Chunk>();
+    last_key_ = slot.chunk_key;
+    last_chunk_ = chunk.get();
+  }
+  return (*last_chunk_)[slot.index];
+}
+
+const DirectoryCcm::DirEntry* DirectoryCcm::find_entry(
+    std::uint64_t line) const {
+  const DirSlot slot = dir_slot(line);
+  const auto it = chunks_.find(slot.chunk_key);
+  return it == chunks_.end() ? nullptr : &(*it->second)[slot.index];
 }
 
 sim::TimePs DirectoryCcm::ensure_in_l3(std::uint64_t line, sim::TimePs now,
@@ -191,17 +200,16 @@ CcmResponse DirectoryCcm::handle(const CcmRequest& request, sim::TimePs now,
 }
 
 CoherenceState DirectoryCcm::node_view(int node, std::uint64_t addr) const {
-  const auto it = directory_.find(line_addr(addr));
-  if (it == directory_.end()) return CoherenceState::kInvalid;
-  const DirEntry& dir = it->second;
-  if (dir.owner == node) return CoherenceState::kModified;
-  if (dir.sharers & (1ull << node)) return CoherenceState::kShared;
+  const DirEntry* dir = find_entry(line_addr(addr));
+  if (dir == nullptr) return CoherenceState::kInvalid;
+  if (dir->owner == node) return CoherenceState::kModified;
+  if (dir->sharers & (1ull << node)) return CoherenceState::kShared;
   return CoherenceState::kInvalid;
 }
 
 std::uint64_t DirectoryCcm::sharer_mask(std::uint64_t addr) const {
-  const auto it = directory_.find(line_addr(addr));
-  return it == directory_.end() ? 0 : it->second.sharers;
+  const DirEntry* dir = find_entry(line_addr(addr));
+  return dir == nullptr ? 0 : dir->sharers;
 }
 
 }  // namespace maco::mem

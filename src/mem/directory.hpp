@@ -9,8 +9,10 @@
 // the system layer implements it against the CPU cache models.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
@@ -89,7 +91,31 @@ class DirectoryCcm {
     int owner = -1;             // node holding M/E/O, -1 if none
   };
 
+  // Directory state lives in address-ordered chunks of consecutive
+  // slice-local lines, allocated on first touch. The DMA streams lines in
+  // address order, so neighbouring requests hit the same chunk and mostly
+  // the same host cache lines; a hash keyed per line scatters them.
+  static constexpr unsigned kChunkBits = 10;
+  static constexpr std::uint64_t kChunkEntries = 1ull << kChunkBits;
+  using Chunk = std::array<DirEntry, kChunkEntries>;
+
+  // Where a line's entry lives: the chunk of its slice-local line index
+  // (pa/64)/slice_interleave, keyed together with the interleave residue
+  // so a line homed at another slice never aliases a local entry.
+  struct DirSlot {
+    std::uint64_t chunk_key;
+    std::uint64_t index;  // within the chunk
+  };
+  DirSlot dir_slot(std::uint64_t line) const noexcept {
+    const std::uint64_t global = line / kLineBytes;
+    const std::uint64_t local = global / config_.slice_interleave;
+    return {(local >> kChunkBits) * config_.slice_interleave +
+                global % config_.slice_interleave,
+            local & (kChunkEntries - 1)};
+  }
   DirEntry& entry(std::uint64_t line);
+  // nullptr when the line was never touched.
+  const DirEntry* find_entry(std::uint64_t line) const;
   // Address as the slice's cache sees it (interleave bits stripped).
   std::uint64_t cache_addr(std::uint64_t line) const noexcept {
     return line / config_.slice_interleave;
@@ -112,7 +138,10 @@ class DirectoryCcm {
   DramModel& dram_;
   RecallFn recall_;
   SetAssocCache l3_;
-  std::unordered_map<std::uint64_t, DirEntry> directory_;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Chunk>> chunks_;
+  // One-entry memo of the last chunk entry() touched.
+  std::uint64_t last_key_ = ~0ull;
+  Chunk* last_chunk_ = nullptr;
   std::uint64_t recalls_ = 0;
   std::uint64_t stash_hits_ = 0;
   std::uint64_t stash_fills_ = 0;

@@ -3,6 +3,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
+#include <optional>
 
 #include "util/assert.hpp"
 
@@ -46,6 +48,26 @@ constexpr std::uint64_t bits(std::uint64_t value, unsigned lo,
 
 constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) noexcept {
   return (a + b - 1) / b;
+}
+
+// Overflow-checked uint64 arithmetic: nullopt when the exact result does
+// not fit, for counts computed from external inputs (manifest shapes).
+constexpr std::optional<std::uint64_t> checked_add(std::uint64_t a,
+                                                   std::uint64_t b) noexcept {
+  std::uint64_t sum = 0;
+  if (__builtin_add_overflow(a, b, &sum)) return std::nullopt;
+  return sum;
+}
+
+constexpr std::optional<std::uint64_t> checked_product(
+    std::initializer_list<std::uint64_t> factors) noexcept {
+  std::uint64_t product = 1;
+  for (const std::uint64_t factor : factors) {
+    if (__builtin_mul_overflow(product, factor, &product)) {
+      return std::nullopt;
+    }
+  }
+  return product;
 }
 
 }  // namespace maco::util

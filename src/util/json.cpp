@@ -41,9 +41,27 @@ class Parser {
 
  private:
   [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("JSON parse error at byte " +
-                             std::to_string(pos_) + ": " + what);
+    throw JsonParseError(
+        "JSON parse error at byte " + std::to_string(pos_) + ": " + what,
+        pos_);
   }
+
+  // Scope of one nested object/array; enforces kMaxJsonDepth.
+  class Nesting {
+   public:
+    explicit Nesting(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxJsonDepth) {
+        parser_.fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                     " levels");
+      }
+    }
+    ~Nesting() { --parser_.depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+   private:
+    Parser& parser_;
+  };
 
   void skip_whitespace() {
     while (pos_ < text_.size() &&
@@ -92,6 +110,7 @@ class Parser {
   }
 
   JsonValue parse_object() {
+    const Nesting nesting(*this);
     expect('{');
     std::vector<std::pair<std::string, JsonValue>> members;
     if (peek() == '}') {
@@ -117,6 +136,7 @@ class Parser {
   }
 
   JsonValue parse_array() {
+    const Nesting nesting(*this);
     expect('[');
     std::vector<JsonValue> items;
     if (peek() == ']') {
@@ -244,6 +264,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open objects/arrays around the cursor
 };
 
 }  // namespace

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -64,9 +65,26 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 
+// Deepest array/object nesting parse_json accepts. The parser recurses
+// once per level, so an unbounded depth lets a hostile file overflow the
+// stack; real interchange documents nest a handful of levels.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
+// Thrown by parse_json for malformed input and for nesting deeper than
+// kMaxJsonDepth; `offset()` is the byte where parsing stopped.
+class JsonParseError : public std::runtime_error {
+ public:
+  JsonParseError(const std::string& what, std::size_t offset)
+      : std::runtime_error(what), offset_(offset) {}
+  std::size_t offset() const noexcept { return offset_; }
+
+ private:
+  std::size_t offset_;
+};
+
 // Parses one JSON document; trailing whitespace is allowed, trailing
-// content is not. Throws std::runtime_error with a byte offset on
-// malformed input.
+// content is not. Throws JsonParseError, with a byte offset, on malformed
+// or too deeply nested input.
 JsonValue parse_json(std::string_view text);
 
 // JSON string-body escaping (quotes, backslash, control characters);

@@ -299,6 +299,28 @@ TEST(JsonParser, ParsesDocumentsAndRejectsMalformedInput) {
   EXPECT_THROW(util::parse_json(""), std::runtime_error);
 }
 
+TEST(JsonParser, RejectsDeepNestingWithATypedError) {
+  // 200k levels used to recurse until the stack overflowed.
+  const std::string deep(200'000, '[');
+  try {
+    (void)util::parse_json(deep);
+    FAIL() << "expected JsonParseError";
+  } catch (const util::JsonParseError& error) {
+    EXPECT_NE(std::string(error.what()).find("nesting deeper than"),
+              std::string::npos);
+    EXPECT_EQ(error.offset(), util::kMaxJsonDepth);
+  }
+  std::string objects;
+  for (int i = 0; i < 100'000; ++i) objects += "{\"a\":";
+  EXPECT_THROW((void)util::parse_json(objects), util::JsonParseError);
+
+  // Exactly at the cap still parses.
+  const std::size_t depth = util::kMaxJsonDepth;
+  const std::string ok = std::string(depth, '[') + std::string(depth, ']');
+  EXPECT_TRUE(util::parse_json(ok).is_array());
+  EXPECT_THROW((void)util::parse_json("[" + ok + "]"), util::JsonParseError);
+}
+
 TEST(StoreImport, ImportedRowsAreFingerprintedAndIdempotent) {
   const driver::ScenarioRegistry registry =
       driver::ScenarioRegistry::builtin();

@@ -2,10 +2,14 @@
 // (the Fig. 6/7 mechanisms).
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/config.hpp"
 #include "core/gemm_mapper.hpp"
 #include "core/gemm_plus.hpp"
+#include "core/maco_system.hpp"
 #include "core/timing_model.hpp"
+#include "util/rng.hpp"
 
 namespace maco::core {
 namespace {
@@ -223,6 +227,124 @@ TEST(PageSizeAblation, HugePagesEraseThePredictionGap) {
                      model.run(without).mean_efficiency;
   EXPECT_LT(gap, 0.01);  // nothing left to predict away
   EXPECT_LT(model.run(without).translation.walks_per_tile, 1.0);
+}
+
+// ---- matrix I/O: write_matrix/read_matrix against per-element reads ----
+
+class MatrixIoTest : public ::testing::Test {
+ protected:
+  MatrixIoTest() : system_(one_node()), process_(system_.create_process()) {}
+
+  static SystemConfig one_node() {
+    SystemConfig config = SystemConfig::maco_default();
+    config.node_count = 1;
+    return config;
+  }
+
+  // Reserves `pages` of VA and backs them in reverse order, so neighbouring
+  // virtual pages sit on non-adjacent frames; `skip` (if < pages) stays
+  // unmapped.
+  vm::VirtAddr scattered_region(std::uint64_t pages,
+                                std::uint64_t skip = ~0ull) {
+    const vm::VirtAddr base = process_.space->reserve(pages * vm::kPageSize);
+    for (std::uint64_t p = pages; p-- > 0;) {
+      if (p != skip) process_.space->map_page(base + p * vm::kPageSize);
+    }
+    return base;
+  }
+
+  // One element read the slow way: translate, then read physical memory.
+  // An element straddling a page is assembled byte by byte.
+  double element_via_translate(vm::VirtAddr va) {
+    const vm::PageTable& table = process_.space->page_table();
+    if (vm::page_offset(va) + sizeof(double) <= vm::kPageSize) {
+      return system_.memory().read_f64(*table.translate(va));
+    }
+    std::uint8_t bytes[sizeof(double)];
+    for (std::uint64_t i = 0; i < sizeof(double); ++i) {
+      system_.memory().read(*table.translate(va + i), &bytes[i], 1);
+    }
+    double value = 0.0;
+    std::memcpy(&value, bytes, sizeof value);
+    return value;
+  }
+
+  void expect_round_trip(const vm::MatrixDesc& desc) {
+    util::Rng rng(desc.base ^ desc.stride());
+    const sa::HostMatrix values =
+        sa::HostMatrix::random(desc.rows, desc.cols, rng);
+    system_.write_matrix(process_, desc, values);
+    const sa::HostMatrix back = system_.read_matrix(process_, desc);
+    ASSERT_EQ(back.data(), values.data());  // bit-exact
+    for (std::uint64_t r = 0; r < desc.rows; ++r) {
+      for (std::uint64_t c = 0; c < desc.cols; ++c) {
+        ASSERT_EQ(element_via_translate(desc.element_addr(r, c)),
+                  values.at(r, c))
+            << "(" << r << "," << c << ")";
+      }
+    }
+  }
+
+  MacoSystem system_;
+  Process& process_;
+};
+
+TEST_F(MatrixIoTest, DenseRowsCrossingSeveralPages) {
+  // 1100 doubles per row: every row spans three pages.
+  expect_round_trip(system_.alloc_matrix(process_, 5, 1100));
+}
+
+TEST_F(MatrixIoTest, UnalignedBaseAndPaddedStrideOnScatteredFrames) {
+  const vm::VirtAddr region = scattered_region(16);
+  vm::MatrixDesc desc;
+  // 20 bytes short of a page boundary and not 8-aligned: elements
+  // straddle pages, and each page lives on a frame away from its
+  // neighbours.
+  desc.base = region + vm::kPageSize - 20;
+  desc.rows = 5;
+  desc.cols = 1100;
+  desc.row_stride_bytes = desc.cols * sizeof(double) + 72;
+  expect_round_trip(desc);
+  // The stride padding between rows is untouched.
+  for (std::uint64_t r = 0; r + 1 < desc.rows; ++r) {
+    const vm::VirtAddr gap = desc.element_addr(r, desc.cols);
+    for (std::uint64_t i = 0; i < 72; i += sizeof(double)) {
+      EXPECT_EQ(element_via_translate(gap + i), 0.0) << "row " << r;
+    }
+  }
+}
+
+TEST_F(MatrixIoTest, SingleColumnWithPageSizedStride) {
+  // One element per row, one row per page: every element its own run.
+  const vm::VirtAddr region = scattered_region(9);
+  vm::MatrixDesc desc;
+  desc.base = region + 8;
+  desc.rows = 8;
+  desc.cols = 1;
+  desc.row_stride_bytes = vm::kPageSize;
+  expect_round_trip(desc);
+}
+
+using MatrixIoDeathTest = MatrixIoTest;
+
+TEST_F(MatrixIoDeathTest, UnmappedPageStillAsserts) {
+  const vm::VirtAddr region = scattered_region(4, /*skip=*/2);
+  vm::MatrixDesc desc;
+  desc.base = region;
+  desc.rows = 3;
+  desc.cols = 1024;  // one page per row: row 2 hits the hole
+  const sa::HostMatrix values(3, 1024, 1.0);
+  EXPECT_DEATH(system_.write_matrix(process_, desc, values),
+               "unmapped VA in write_matrix");
+  EXPECT_DEATH((void)system_.read_matrix(process_, desc),
+               "unmapped VA in read_matrix");
+}
+
+TEST_F(MatrixIoDeathTest, NonFp64ElementsAssert) {
+  vm::MatrixDesc desc = system_.alloc_matrix(process_, 2, 2);
+  desc.elem_bytes = 4;
+  EXPECT_DEATH(system_.write_matrix(process_, desc, sa::HostMatrix(2, 2)),
+               "moves FP64 elements");
 }
 
 }  // namespace

@@ -352,6 +352,64 @@ TEST(Lowering, ContributionsCoverTheWholeWorkload) {
   }
 }
 
+// Lowering `json` must fail with a GraphError naming `op` and `what`.
+void expect_lowering_overflow(const std::string& json, const std::string& op,
+                              const std::string& what) {
+  const ModelGraph graph = parse_model_graph(json);
+  try {
+    (void)lower(graph, {});
+    FAIL() << "lowered; expected an overflow naming op '" << op << "'";
+  } catch (const GraphError& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("op '" + op + "'"), std::string::npos) << message;
+    EXPECT_NE(message.find(what + " overflows"), std::string::npos)
+        << message;
+  }
+}
+
+TEST(Lowering, FlopOverflowFailsNamingTheOp) {
+  // 2 x 1 x 2^32 x 2^32 FLOPs used to wrap to 0 ("0.000 GFLOP").
+  const std::string wide = R"({
+    "model": "wide", "precision": "fp64",
+    "defaults": {"batch": 1, "seq_len": 1},
+    "tensors": [
+      {"name": "x", "dims": ["tokens", 4294967296]},
+      {"name": "y", "dims": ["tokens", 4294967296]}
+    ],
+    "ops": [
+      {"name": "huge", "kind": "linear", "inputs": ["x"], "outputs": ["y"],
+       "attrs": {"out_features": 4294967296}}
+    ]
+  })";
+  expect_lowering_overflow(wide, "huge", "FLOP count");
+  const std::string path = write_temp("wide_manifest.json", wide);
+  EXPECT_THROW((void)driver::show_manifest(path, {}), GraphError);
+
+  // Each op fits (2^63 FLOPs) but the model total does not.
+  expect_lowering_overflow(R"({
+    "model": "twice", "precision": "fp16",
+    "defaults": {"batch": 1, "seq_len": 1},
+    "tensors": [
+      {"name": "x", "dims": ["tokens", 2147483648]},
+      {"name": "h", "dims": ["tokens", 2147483648]},
+      {"name": "y", "dims": ["tokens", 2147483648]}
+    ],
+    "ops": [
+      {"name": "first", "kind": "linear", "inputs": ["x"], "outputs": ["h"],
+       "attrs": {"out_features": 2147483648}},
+      {"name": "second", "kind": "linear", "inputs": ["h"], "outputs": ["y"],
+       "attrs": {"out_features": 2147483648}}
+    ]
+  })", "second", "the model's FLOP total");
+}
+
+TEST(ModelGraph, DeeplyNestedManifestFailsWithAGraphError) {
+  expect_rejected(std::string(200'000, '['), "nesting deeper than");
+  const std::string path =
+      write_temp("deep_manifest.json", std::string(200'000, '['));
+  EXPECT_THROW((void)load_model_graph(path), GraphError);
+}
+
 TEST(Builtin, CatalogueMatchesShippedManifests) {
   ASSERT_EQ(builtin_manifests().size(), 5u);
   for (const BuiltinManifest& builtin : builtin_manifests()) {

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
 #include "mem/cache.hpp"
 #include "mem/directory.hpp"
 #include "mem/dram.hpp"
 #include "mem/physical_memory.hpp"
+#include "util/rng.hpp"
 
 namespace maco::mem {
 namespace {
@@ -296,6 +300,300 @@ TEST(UnqueuedLatency, PteReadsDoNotInheritBusBacklog) {
       ccm.handle({CcmReqType::kGetS, 0, 0x9000}, 0, /*queue_dram=*/false);
   EXPECT_TRUE(response.dram_accessed);
   EXPECT_LT(response.latency, 100'000u);  // service time, not backlog
+}
+
+// ---- directory differential test ----
+//
+// A plain per-line hash-map directory running the same MOESI/stash
+// protocol as DirectoryCcm, with its own L3 and DRAM. DirectoryCcm stores
+// its entries however it likes; every observable (responses, per-node
+// views, sharer masks, counters, L3 state, recall calls) must match this.
+class ReferenceCcm {
+ public:
+  ReferenceCcm(const CcmConfig& config, DramModel& dram,
+               DirectoryCcm::RecallFn recall)
+      : config_(config), dram_(dram), recall_(std::move(recall)),
+        l3_("ref.l3", config.l3) {}
+
+  CcmResponse handle(const CcmRequest& request, sim::TimePs now,
+                     bool queue_dram) {
+    CcmResponse response;
+    const std::uint64_t line = line_addr(request.addr);
+    Entry& dir = directory_[line];
+    const std::uint64_t node_bit = 1ull << request.node;
+    response.latency += config_.directory_latency_ps;
+    const auto recall_owner = [&](bool keep_as_sharer) {
+      if (dir.owner < 0 || dir.owner == request.node) return;
+      ++recalls_;
+      response.recalled = true;
+      response.latency += recall_(dir.owner, line);
+      if (keep_as_sharer) {
+        dir.sharers |= 1ull << dir.owner;
+      } else {
+        dir.sharers &= ~(1ull << dir.owner);
+      }
+      dir.owner = -1;
+    };
+    const auto invalidate_others = [&] {
+      const std::uint64_t others = dir.sharers & ~node_bit;
+      for (int n = 0; n < 64 && others != 0; ++n) {
+        if (others & (1ull << n)) {
+          ++recalls_;
+          response.recalled = true;
+          response.latency += recall_(n, line);
+          break;
+        }
+      }
+    };
+    const auto fill = [&] {
+      response.latency +=
+          ensure_in_l3(line, now + response.latency, response, queue_dram);
+    };
+    switch (request.type) {
+      case CcmReqType::kGetS:
+        recall_owner(/*keep_as_sharer=*/true);
+        fill();
+        dir.sharers |= node_bit;
+        break;
+      case CcmReqType::kGetM:
+        recall_owner(false);
+        invalidate_others();
+        fill();
+        dir.sharers = node_bit;
+        dir.owner = request.node;
+        break;
+      case CcmReqType::kPutFull: {
+        recall_owner(false);
+        invalidate_others();
+        const auto result =
+            l3_.access(cache(line), true, CoherenceState::kModified);
+        response.latency += config_.l3_latency_ps;
+        response.l3_hit = result.hit;
+        if (result.evicted && result.victim_dirty) {
+          if (queue_dram) {
+            dram_.access(now + response.latency,
+                         result.victim_addr * config_.slice_interleave,
+                         kLineBytes);
+          }
+          response.dram_accessed = true;
+        }
+        if (!result.allocated) {
+          response.dram_accessed = true;
+          const sim::TimePs at = now + response.latency;
+          response.latency += queue_dram
+                                  ? dram_.access(at, line, kLineBytes) - at
+                                  : dram_.service_latency(kLineBytes);
+        }
+        dir.sharers = node_bit;
+        dir.owner = request.node;
+        break;
+      }
+      case CcmReqType::kPutM:
+        fill();
+        if (l3_.probe(cache(line))) {
+          l3_.set_state(cache(line), CoherenceState::kModified);
+        }
+        if (dir.owner == request.node) dir.owner = -1;
+        dir.sharers &= ~node_bit;
+        break;
+      case CcmReqType::kStash:
+        if (l3_.probe(cache(line))) {
+          ++stash_hits_;
+          response.l3_hit = true;
+          response.latency += config_.l3_latency_ps;
+        } else {
+          ++stash_fills_;
+          fill();
+        }
+        break;
+      case CcmReqType::kStashLock:
+        if (l3_.probe(cache(line))) {
+          ++stash_hits_;
+        } else {
+          ++stash_fills_;
+        }
+        fill();
+        l3_.lock(cache(line));
+        break;
+      case CcmReqType::kUnlock:
+        l3_.unlock(cache(line));
+        break;
+    }
+    return response;
+  }
+
+  CoherenceState node_view(int node, std::uint64_t addr) const {
+    const auto it = directory_.find(line_addr(addr));
+    if (it == directory_.end()) return CoherenceState::kInvalid;
+    if (it->second.owner == node) return CoherenceState::kModified;
+    if (it->second.sharers & (1ull << node)) return CoherenceState::kShared;
+    return CoherenceState::kInvalid;
+  }
+  std::uint64_t sharer_mask(std::uint64_t addr) const {
+    const auto it = directory_.find(line_addr(addr));
+    return it == directory_.end() ? 0 : it->second.sharers;
+  }
+  bool line_locked(std::uint64_t addr) const {
+    return l3_.is_locked(cache(line_addr(addr)));
+  }
+  std::uint64_t recalls() const { return recalls_; }
+  std::uint64_t stash_hits() const { return stash_hits_; }
+  std::uint64_t stash_fills() const { return stash_fills_; }
+  const SetAssocCache& l3() const { return l3_; }
+  std::uint64_t cache(std::uint64_t line) const {
+    return line / config_.slice_interleave;
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t sharers = 0;
+    int owner = -1;
+  };
+
+  sim::TimePs ensure_in_l3(std::uint64_t line, sim::TimePs now,
+                           CcmResponse& response, bool queue_dram) {
+    const auto result = l3_.access(cache(line), false);
+    if (result.hit) {
+      response.l3_hit = true;
+      return config_.l3_latency_ps;
+    }
+    response.dram_accessed = true;
+    const bool writeback = result.evicted && result.victim_dirty;
+    if (!queue_dram) {
+      return config_.l3_latency_ps +
+             (writeback ? dram_.service_latency(kLineBytes) : 0) +
+             dram_.service_latency(kLineBytes);
+    }
+    sim::TimePs t = now + config_.l3_latency_ps;
+    if (writeback) {
+      t = dram_.access(t, result.victim_addr * config_.slice_interleave,
+                       kLineBytes);
+    }
+    return dram_.access(t, line, kLineBytes) - now;
+  }
+
+  CcmConfig config_;
+  DramModel& dram_;
+  DirectoryCcm::RecallFn recall_;
+  SetAssocCache l3_;
+  std::unordered_map<std::uint64_t, Entry> directory_;
+  std::uint64_t recalls_ = 0;
+  std::uint64_t stash_hits_ = 0;
+  std::uint64_t stash_fills_ = 0;
+};
+
+void run_directory_differential(unsigned interleave, std::uint64_t seed) {
+  SCOPED_TRACE("slice_interleave=" + std::to_string(interleave) +
+               " seed=" + std::to_string(seed));
+  CcmConfig config;
+  config.l3 = CacheConfig{64 * 1024, 4, kLineBytes};  // small: evictions
+  config.slice_interleave = interleave;
+  using Recall = std::vector<std::pair<int, std::uint64_t>>;
+  Recall recalls, ref_recalls;
+  const auto recorder = [](Recall& log) {
+    return [&log](int node, std::uint64_t line) {
+      log.emplace_back(node, line);
+      return sim::TimePs{1'000 + 100 * static_cast<unsigned>(node)};
+    };
+  };
+  DramController dram("diff.dram", DramConfig{});
+  DramController ref_dram("ref.dram", DramConfig{});
+  DirectoryCcm ccm("diff.ccm", config, dram, recorder(recalls));
+  ReferenceCcm ref(config, ref_dram, recorder(ref_recalls));
+
+  constexpr int kNodes = 6;
+  constexpr unsigned kHome = 3;  // this slice's line residue
+  util::Rng rng(seed);
+  // Lines this slice homes, drawn from a dense region (chunk-boundary
+  // traffic), a far region and sparse 48-bit addresses.
+  const auto home_line = [&]() -> std::uint64_t {
+    std::uint64_t index = 0;
+    switch (rng.next_below(3)) {
+      case 0: index = rng.next_below(4096); break;
+      case 1: index = (1ull << 30) + rng.next_below(2048); break;
+      default: index = rng.next_below(1ull << 42); break;
+    }
+    return (index * interleave + kHome % interleave) * kLineBytes;
+  };
+  std::vector<std::uint64_t> touched;
+  sim::TimePs now = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    CcmRequest request;
+    request.type = static_cast<CcmReqType>(rng.next_below(7));
+    request.node = static_cast<int>(rng.next_below(kNodes));
+    // Mostly revisit earlier lines so every state transition gets hit.
+    request.addr = !touched.empty() && rng.next_below(4) != 0
+                       ? touched[rng.next_below(touched.size())]
+                       : home_line();
+    request.addr += rng.next_below(kLineBytes);  // any byte of the line
+    touched.push_back(line_addr(request.addr));
+    const bool queue_dram = rng.next_below(8) != 0;
+    now += rng.next_below(50'000);
+
+    const CcmResponse got = ccm.handle(request, now, queue_dram);
+    const CcmResponse want = ref.handle(request, now, queue_dram);
+    ASSERT_EQ(got.latency, want.latency) << "step " << step;
+    ASSERT_EQ(got.l3_hit, want.l3_hit) << "step " << step;
+    ASSERT_EQ(got.dram_accessed, want.dram_accessed) << "step " << step;
+    ASSERT_EQ(got.recalled, want.recalled) << "step " << step;
+    ASSERT_EQ(ccm.sharer_mask(request.addr), ref.sharer_mask(request.addr));
+    for (int n = 0; n < kNodes; ++n) {
+      ASSERT_EQ(ccm.node_view(n, request.addr),
+                ref.node_view(n, request.addr))
+          << "step " << step << " node " << n;
+    }
+    ASSERT_EQ(ccm.line_locked(request.addr), ref.line_locked(request.addr));
+  }
+  EXPECT_EQ(recalls, ref_recalls);
+  EXPECT_EQ(ccm.recalls(), ref.recalls());
+  EXPECT_EQ(ccm.stash_hits(), ref.stash_hits());
+  EXPECT_EQ(ccm.stash_fills(), ref.stash_fills());
+  EXPECT_GT(ccm.recalls(), 0u);
+  EXPECT_GT(ccm.stash_hits(), 0u);
+  EXPECT_EQ(dram.requests(), ref_dram.requests());
+  EXPECT_EQ(ccm.l3().hits(), ref.l3().hits());
+  EXPECT_EQ(ccm.l3().misses(), ref.l3().misses());
+  EXPECT_EQ(ccm.l3().evictions(), ref.l3().evictions());
+  EXPECT_EQ(ccm.l3().locked_lines(), ref.l3().locked_lines());
+  EXPECT_GT(ccm.l3().evictions(), 0u);
+
+  // Final state of every touched line, plus queries the stream never made:
+  // untouched home lines and lines homed at other slices (their residues
+  // differ, so they must read absent even next to touched lines).
+  std::vector<std::uint64_t> queries = touched;
+  for (int i = 0; i < 2'000; ++i) queries.push_back(home_line());
+  for (const std::uint64_t line : touched) {
+    for (unsigned r = 1; r < interleave; ++r) {
+      queries.push_back(line + r * kLineBytes);
+    }
+    if (queries.size() > touched.size() + 40'000) break;
+  }
+  for (const std::uint64_t addr : queries) {
+    ASSERT_EQ(ccm.sharer_mask(addr), ref.sharer_mask(addr)) << addr;
+    for (int n = 0; n < kNodes; ++n) {
+      ASSERT_EQ(ccm.node_view(n, addr), ref.node_view(n, addr)) << addr;
+    }
+    ASSERT_EQ(ccm.l3().probe(ref.cache(addr)), ref.l3().probe(ref.cache(addr)))
+        << addr;
+    ASSERT_EQ(ccm.line_locked(addr), ref.line_locked(addr)) << addr;
+  }
+  // Never-touched addresses read absent outright.
+  for (const std::uint64_t addr : {0xFFFF'FFFF'FFC0ull, 0x1234'5678'9A00ull}) {
+    EXPECT_EQ(ccm.sharer_mask(addr), 0u);
+    EXPECT_EQ(ccm.node_view(0, addr), CoherenceState::kInvalid);
+  }
+}
+
+TEST(DirectoryDifferential, MatchesHashMapReferenceUnstriped) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    run_directory_differential(1, seed);
+  }
+}
+
+TEST(DirectoryDifferential, MatchesHashMapReferenceStriped) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    run_directory_differential(16, seed);
+  }
 }
 
 }  // namespace

@@ -50,6 +50,17 @@ TEST(Bits, CeilDiv) {
   EXPECT_EQ(ceil_div(5, 4), 2u);
 }
 
+TEST(Bits, CheckedArithmetic) {
+  constexpr std::uint64_t kMax = ~0ull;
+  EXPECT_EQ(checked_add(kMax - 1, 1), kMax);
+  EXPECT_FALSE(checked_add(kMax, 1).has_value());
+  EXPECT_EQ(checked_product({2, 3, 7}), 42u);
+  EXPECT_EQ(checked_product({}), 1u);
+  EXPECT_EQ(checked_product({1ull << 31, 1ull << 32}), 1ull << 63);
+  EXPECT_FALSE(checked_product({2, 1ull << 32, 1ull << 32}).has_value());
+  EXPECT_EQ(checked_product({0, kMax, kMax}), 0u);
+}
+
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());
