@@ -15,8 +15,9 @@
 #include "core/maco_system.hpp"
 #include "core/mapped_gemm.hpp"
 #include "core/timing_model.hpp"
+#include "driver/trace_cmd.hpp"
 #include "isa/assembler.hpp"
-#include "trace/timeline.hpp"
+#include "isa/encoding.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -136,12 +137,15 @@ void library_mapped_gemm() {
               result.ok && match ? "MATCH" : "MISMATCH");
 
   // What each MMAE did, as a Gantt chart (H=stash, E=move, G=gemm).
-  trace::Timeline timeline;
+  std::vector<obs::SpanRec> spans;
   for (unsigned node = 0; node < system.node_count(); ++node) {
-    timeline.import_reports("node" + std::to_string(node) + ".mmae",
-                            system.node(node).mmae().reports());
+    for (const mmae::TaskReport& report : system.node(node).mmae().reports()) {
+      spans.push_back(obs::SpanRec{"node" + std::to_string(node) + ".mmae",
+                                   isa::mnemonic_name(report.op),
+                                   report.start, report.end});
+    }
   }
-  std::fputs(timeline.render_ascii(64).c_str(), stdout);
+  std::fputs(driver::render_gantt(spans, 64).c_str(), stdout);
   std::puts("");
 }
 

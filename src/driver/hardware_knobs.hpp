@@ -28,9 +28,8 @@ const exp::ParamSchema& hardware_schema();
 void apply_hardware_params(const exp::ParamSet& params,
                            core::SystemConfig& config);
 
-// Renders the knob schema as a name/type/default/range/description table —
-// the one rendering path shared by `--list-scenarios` and the bench_tables
-// appendix, so the two cannot drift.
+// Renders the knob schema as a name/type/default/range/description table
+// (the `--list-scenarios` appendix).
 void print_hardware_knob_table(std::ostream& out, const std::string& title);
 
 }  // namespace maco::driver

@@ -60,7 +60,7 @@ void list_scenarios(const driver::ScenarioRegistry& registry) {
       params << "[" << constraint.rule << "]";
       first = false;
     }
-    for (const driver::CrossRule& rule : scenario.cross_rules) {
+    for (const driver::CrossRule& rule : driver::cross_rules(scenario)) {
       if (!first) params << "  ";
       params << "[" << rule.rule << "]";
       first = false;

@@ -2,13 +2,13 @@
 //
 // A scenario is one named, parameterized experiment: every workload
 // (src/workloads/), baseline comparison (src/baselines/) and paper
-// figure/table bench (bench/) is registered here so one CLI can run and
-// sweep all of them. Each scenario declares a typed exp::ParamSchema (the
-// single parser for its knobs) and consumes a fully-validated
-// exp::ParamSet; scenarios that execute the MACO machine do so through an
-// exp::ExecutionBackend selected by the `fidelity` parameter, so the same
-// experiment can run against the analytic timing model or the detailed
-// flit-level system.
+// figure/table is registered here, the one home of that logic, so one CLI
+// can run and sweep all of them. Each scenario declares a typed
+// exp::ParamSchema (the single parser for its knobs) and consumes a
+// fully-validated exp::ParamSet; scenarios that execute the MACO machine
+// do so through an exp::ExecutionBackend selected by the `fidelity`
+// parameter, so the same experiment can run against the analytic timing
+// model or the detailed flit-level system.
 #pragma once
 
 #include <functional>
@@ -47,9 +47,8 @@ struct ScenarioRequest {
 // A declarative constraint ACROSS the two schemas of a sweep point: the
 // scenario's parameters and the hardware knobs are bound separately, so a
 // rule relating them (e.g. `nodes <= node_count`) cannot live on either
-// ParamSchema alone. The sweep runner evaluates cross rules on every point
-// after both binds and fails the point with the rule text;
-// --list-scenarios prints them next to the schema's own constraints.
+// ParamSchema alone. Scenarios do not write these by hand: cross_rules()
+// derives them from what each scenario declares.
 struct CrossRule {
   std::string rule;  // e.g. "nodes <= node_count"
   std::function<bool(const exp::ParamSet& scenario,
@@ -57,11 +56,20 @@ struct CrossRule {
       satisfied;
 };
 
+// The backend hardware knobs (dram, icnt, exec, profile) that a scenario
+// WITHOUT a `fidelity` parameter honours; the others must keep their
+// defaults, and `reason` says why in the derived rule. A scenario that
+// declares `fidelity` leaves this alone: its fidelity choices decide.
+struct HonouredKnobs {
+  std::vector<std::string> knobs;
+  std::string reason = "scenario has no detailed machine";
+};
+
 struct Scenario {
   std::string name;
   std::string description;
   exp::ParamSchema schema;
-  std::vector<CrossRule> cross_rules;  // scenario-vs-hardware constraints
+  HonouredKnobs honours;  // fixed-backend scenarios only
   std::function<ScenarioResult(const ScenarioRequest&)> run;
   // A serial scenario never runs on more than one sweep worker at a time
   // (e.g. wall-clock micro-benches, whose numbers concurrency would skew).
@@ -76,6 +84,21 @@ struct Scenario {
 // declared `fidelity` choices — "analytic (fixed)" for scenarios without
 // the parameter (no detailed machine). Printed by --list-scenarios.
 std::string fidelity_summary(const Scenario& scenario);
+
+// The scenario-vs-hardware rules, derived from the declarations:
+//  - a declared `nodes` gives `nodes <= node_count` (explicit nodes only);
+//  - a declared `fidelity` keeps dram/icnt/exec at their defaults under
+//    fidelity=analytic and profile=counters to fidelity=detailed;
+//  - otherwise every backend knob outside `honours` keeps its default.
+// --list-scenarios prints them next to the schema's own constraints.
+std::vector<CrossRule> cross_rules(const Scenario& scenario);
+
+// Throws std::invalid_argument naming the first cross rule that a bound
+// sweep point violates. The sweep runner and store import both call it
+// before a point runs or is fingerprinted.
+void check_cross_rules(const Scenario& scenario,
+                       const exp::ParamSet& params,
+                       const exp::ParamSet& hardware);
 
 class ScenarioRegistry {
  public:

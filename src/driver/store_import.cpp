@@ -45,13 +45,7 @@ store::CampaignRecord import_row(
   }
   const exp::ParamSet hardware_params = hardware_schema().bind(hardware_raw);
   const exp::ParamSet scenario_params = scenario.schema.bind(scenario_raw);
-  for (const CrossRule& rule : scenario.cross_rules) {
-    if (!rule.satisfied(scenario_params, hardware_params)) {
-      throw std::invalid_argument("scenario '" + scenario.name +
-                                  "' violates cross-schema constraint '" +
-                                  rule.rule + "'");
-    }
-  }
+  check_cross_rules(scenario, scenario_params, hardware_params);
 
   store::CampaignRecord record;
   record.scenario = scenario.name;

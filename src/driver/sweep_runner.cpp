@@ -153,13 +153,7 @@ SweepResults run_sweep(const ScenarioRegistry& registry,
         // Cross-schema rules relate the two ParamSets (neither schema can
         // express them alone); a violation fails the point with the
         // declared rule text before anything runs or is fingerprinted.
-        for (const CrossRule& rule : scenario->cross_rules) {
-          if (!rule.satisfied(scenario_params, hardware_params)) {
-            throw std::invalid_argument(
-                "scenario '" + scenario->name +
-                "' violates cross-schema constraint '" + rule.rule + "'");
-          }
-        }
+        check_cross_rules(*scenario, scenario_params, hardware_params);
 
         // The canonicalization and fingerprint hash only matter to the
         // campaign store; a store-less sweep skips that per-point work.

@@ -1,21 +1,43 @@
 #include "driver/trace_cmd.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <iomanip>
-#include <set>
+#include <map>
 #include <sstream>
 #include <stdexcept>
-#include <vector>
 
-#include "trace/timeline.hpp"
 #include "util/json.hpp"
 
 namespace maco::driver {
 namespace {
 
-sim::TimePs us_to_ps(double us) {
-  return us > 0.0 ? static_cast<sim::TimePs>(std::llround(us * 1e6)) : 0;
+// 2^63: integers below it fit a long long, and two of them add up without
+// wrapping a uint64 picosecond timestamp.
+constexpr double kTwoPow63 = 9223372036854775808.0;
+
+// Hostile numbers in a foreign trace (huge, infinite) fail with the
+// renderer's error instead of undefined integer conversions.
+[[noreturn]] void out_of_range(const char* field, const std::string& event,
+                               double value) {
+  std::ostringstream message;
+  message << "trace event '" << event << "' has an out-of-range " << field
+          << ": " << value;
+  throw std::runtime_error(message.str());
+}
+
+// Chrome microseconds to engine picoseconds; negative times clamp to 0.
+sim::TimePs us_to_ps(double us, const char* field, const std::string& event) {
+  const double ps = us * 1e6;
+  if (!(std::abs(ps) < kTwoPow63)) out_of_range(field, event, us);
+  return ps > 0.0 ? static_cast<sim::TimePs>(std::llround(ps)) : 0;
+}
+
+// A numeric Chrome thread id as a track name.
+std::string tid_track(double tid, const std::string& event) {
+  if (!(std::abs(tid) < kTwoPow63)) out_of_range("tid", event, tid);
+  return "tid" + std::to_string(static_cast<long long>(tid));
 }
 
 struct NocLink {
@@ -77,25 +99,6 @@ NocSection parse_noc(const util::JsonValue& doc) {
     section.links.push_back(std::move(link));
   }
   return section;
-}
-
-std::string render_gantt(const trace::Timeline& timeline,
-                         std::size_t width) {
-  std::ostringstream out;
-  if (timeline.spans().empty()) {
-    out << "trace has no complete ('X') events to render\n";
-    return out.str();
-  }
-  std::set<std::string> tracks;
-  for (const trace::Span& span : timeline.spans()) {
-    tracks.insert(span.track);
-  }
-  out << timeline.spans().size() << " span(s) on " << tracks.size()
-      << " track(s), "
-      << static_cast<double>(timeline.end_ps() - timeline.begin_ps()) / 1e6
-      << " us\n";
-  out << timeline.render_ascii(width);
-  return out.str();
 }
 
 std::string render_noc_text(const NocSection& noc) {
@@ -169,6 +172,57 @@ std::string render_noc_csv(const NocSection& noc) {
 
 }  // namespace
 
+std::string render_gantt(const std::vector<obs::SpanRec>& spans,
+                         std::size_t width) {
+  std::ostringstream out;
+  if (spans.empty()) {
+    out << "trace has no complete ('X') events to render\n";
+    return out.str();
+  }
+  sim::TimePs t0 = spans.front().start;
+  sim::TimePs t1 = 0;
+  std::vector<std::string> order;  // tracks in first-appearance order
+  std::map<std::string, std::string> rows;
+  std::size_t label_width = 0;
+  for (const obs::SpanRec& span : spans) {
+    t0 = std::min(t0, span.start);
+    t1 = std::max(t1, span.end);
+    if (rows.emplace(span.track, std::string(width, '.')).second) {
+      order.push_back(span.track);
+      label_width = std::max(label_width, span.track.size());
+    }
+  }
+  out << spans.size() << " span(s) on " << order.size() << " track(s), "
+      << static_cast<double>(t1 - t0) / 1e6 << " us\n";
+  if (width == 0) {
+    out << "(empty timeline)\n";
+    return out.str();
+  }
+
+  const double span_ps = std::max<double>(1.0, static_cast<double>(t1 - t0));
+  const auto col = [&](sim::TimePs t) {
+    const double f = static_cast<double>(t - t0) / span_ps;
+    return std::min(width - 1,
+                    static_cast<std::size_t>(f * static_cast<double>(width)));
+  };
+  for (const obs::SpanRec& span : spans) {
+    const char mark = span.name.empty()
+                          ? '#'
+                          : static_cast<char>(std::toupper(
+                                static_cast<unsigned char>(span.name.back())));
+    std::string& row = rows[span.track];
+    const sim::TimePs last = span.end == span.start ? span.end : span.end - 1;
+    for (std::size_t c = col(span.start); c <= col(last); ++c) row[c] = mark;
+  }
+  out << "timeline " << static_cast<double>(t1 - t0) / 1e6 << " us ("
+      << "1 col = " << span_ps / static_cast<double>(width) / 1e6 << " us)\n";
+  for (const std::string& track : order) {
+    out << "  " << track << std::string(label_width - track.size(), ' ')
+        << " |" << rows[track] << "|\n";
+  }
+  return out.str();
+}
+
 TraceRender render_trace(const std::string& json_text, std::size_t width) {
   const util::JsonValue doc = util::parse_json(json_text);
   const util::JsonValue* events = nullptr;
@@ -183,7 +237,7 @@ TraceRender render_trace(const std::string& json_text, std::size_t width) {
         "a traceEvents array");
   }
 
-  trace::Timeline timeline;
+  std::vector<obs::SpanRec> spans;
   for (const util::JsonValue& event : events->as_array()) {
     const util::JsonValue* ph = event.find("ph");
     if (ph == nullptr || !ph->is_string() || ph->as_string() != "X") {
@@ -197,19 +251,19 @@ TraceRender render_trace(const std::string& json_text, std::size_t width) {
         dur == nullptr || !ts->is_number() || !dur->is_number()) {
       continue;
     }
+    const std::string& label = name->as_string();
     // Foreign traces may use numeric thread ids; ours are track strings.
-    const std::string track =
-        tid->is_string()
-            ? tid->as_string()
-            : "tid" + std::to_string(
-                          static_cast<long long>(tid->as_number()));
-    const sim::TimePs start = us_to_ps(ts->as_number());
-    timeline.add(track, name->as_string(), start,
-                 start + us_to_ps(dur->as_number()));
+    const std::string track = tid->is_string()
+                                  ? tid->as_string()
+                                  : tid_track(tid->as_number(), label);
+    const sim::TimePs start = us_to_ps(ts->as_number(), "ts", label);
+    spans.push_back(obs::SpanRec{
+        track, label, start,
+        start + us_to_ps(dur->as_number(), "dur", label)});
   }
 
   TraceRender render;
-  render.gantt = render_gantt(timeline, width);
+  render.gantt = render_gantt(spans, width);
   const NocSection noc = parse_noc(doc);
   if (!noc.links.empty() && noc.width > 0 && noc.height > 0) {
     render.noc_text = render_noc_text(noc);

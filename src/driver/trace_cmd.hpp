@@ -10,8 +10,18 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
+
+#include "obs/observation.hpp"
 
 namespace maco::driver {
+
+// An ASCII Gantt of `spans`: a span/track/duration summary line, then one
+// row per track in first-appearance order, `width` columns spanning the
+// trace. A span's cells show the upper-cased last letter of its name;
+// '.' is idle.
+std::string render_gantt(const std::vector<obs::SpanRec>& spans,
+                         std::size_t width);
 
 struct TraceRender {
   std::string gantt;     // span summary + ASCII Gantt
@@ -22,7 +32,8 @@ struct TraceRender {
 // Parses `json_text` — an object with a "traceEvents" array (what
 // --trace-out writes) or a bare event array — and renders every complete
 // ("X") event as a Gantt span. Throws std::runtime_error on malformed
-// JSON or a document with no traceEvents.
+// JSON, a document with no traceEvents, or an event whose ts, dur or
+// numeric tid is non-finite or beyond 2^63 picoseconds.
 TraceRender render_trace(const std::string& json_text, std::size_t width);
 
 }  // namespace maco::driver

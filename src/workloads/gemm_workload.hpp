@@ -47,8 +47,4 @@ struct Workload {
 Workload square_gemm(std::uint64_t size,
                      sa::Precision precision = sa::Precision::kFp64);
 
-// The matrix sizes the paper sweeps in Fig. 6 and Fig. 7.
-std::vector<std::uint64_t> fig6_sizes();
-std::vector<std::uint64_t> fig7_sizes();
-
 }  // namespace maco::wl

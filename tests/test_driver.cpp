@@ -276,8 +276,7 @@ TEST(Registry, BuiltinCoversWorkloadsBaselinesAndBenches) {
   for (const char* name :
        {"gemm", "hpl", "resnet50", "bert", "gpt3", "baselines",
         "fig6_translation", "fig7_scalability", "fig8_dl_comparison",
-        "ablation_features", "area_power", "ext_sparsity", "tables",
-        "micro_components"}) {
+        "ablation_features", "area_power", "ext_sparsity", "tables"}) {
     EXPECT_NE(registry.find(name), nullptr) << name;
   }
 }
@@ -947,6 +946,95 @@ TEST(Sweep, CacheGeometryKnobsAreSweepable) {
   EXPECT_LT(small->value, big->value);
 }
 
+// ---- paper figures and tables ----
+
+// One default point of `scenario` through the sweep runner.
+ScenarioResult run_default_point(const char* scenario) {
+  SweepRequest request;
+  request.scenario = scenario;
+  const SweepResults results =
+      run_sweep(ScenarioRegistry::builtin(), request);
+  EXPECT_EQ(results.rows.size(), 1u);
+  EXPECT_TRUE(results.rows.at(0).ok())
+      << scenario << ": " << results.rows.at(0).error;
+  return results.rows.at(0).result;
+}
+
+double metric(const ScenarioResult& result, const std::string& name) {
+  const exp::Metric* found = result.find(name);
+  EXPECT_NE(found, nullptr) << name;
+  return found != nullptr ? found->value : 0.0;
+}
+
+TEST(Figures, TranslationGapAtTheDefaultSize) {
+  // Fig. 6: predictive translation wins ~6% on a 4096^3 single-node GEMM.
+  const ScenarioResult fig6 = run_default_point("fig6_translation");
+  EXPECT_GT(metric(fig6, "efficiency_with"), 0.95);
+  EXPECT_GT(metric(fig6, "gap"), 0.03);
+  EXPECT_LT(metric(fig6, "gap"), 0.10);
+  EXPECT_NEAR(metric(fig6, "efficiency_with") -
+                  metric(fig6, "efficiency_without"),
+              metric(fig6, "gap"), 1e-12);
+  EXPECT_GT(metric(fig6, "walks_per_tile"), 0.0);
+}
+
+TEST(Figures, SixteenNodeScalabilityNearNinetyPercent) {
+  // Fig. 7: independent GEMMs on all 16 nodes keep most of the per-node
+  // efficiency.
+  const ScenarioResult fig7 = run_default_point("fig7_scalability");
+  EXPECT_EQ(metric(fig7, "nodes"), 16.0);
+  EXPECT_GT(metric(fig7, "mean_efficiency"), 0.80);
+  EXPECT_LE(metric(fig7, "mean_efficiency"), 1.0);
+  EXPECT_GT(metric(fig7, "gflops"), 1000.0);
+}
+
+TEST(Figures, DlComparisonFavoursMaco) {
+  // Fig. 8: MACO's geomean beats every baseline system.
+  const ScenarioResult fig8 = run_default_point("fig8_dl_comparison");
+  const double maco = metric(fig8, "geomean_gflops_maco");
+  for (const char* rival :
+       {"geomean_gflops_baseline_1", "geomean_gflops_baseline_2",
+        "geomean_gflops_gem5_rasa", "geomean_gflops_gemmini"}) {
+    EXPECT_GT(maco, metric(fig8, rival)) << rival;
+  }
+  EXPECT_GT(metric(fig8, "maco_vs_baseline1"), 2.0);
+}
+
+TEST(Figures, AblationGridOrdersTheFeatures) {
+  const ScenarioResult grid = run_default_point("ablation_features");
+  const double both = metric(grid, "eff_matlb1_stash1");
+  EXPECT_GE(both, metric(grid, "eff_matlb0_stash1"));
+  EXPECT_GE(both, metric(grid, "eff_matlb1_stash0"));
+  EXPECT_GE(metric(grid, "eff_matlb1_stash0"),
+            metric(grid, "eff_matlb0_stash0"));
+}
+
+TEST(Figures, AreaPowerRatiosMatchTheTableFour) {
+  const ScenarioResult table4 = run_default_point("area_power");
+  EXPECT_NEAR(metric(table4, "relative_area"), 0.255, 0.01);
+  EXPECT_NEAR(metric(table4, "area_efficiency_ratio"), 8.9, 0.3);
+  EXPECT_GT(metric(table4, "power_efficiency_ratio"), 1.0);
+  EXPECT_NEAR(metric(table4, "mmae_peak_gflops_fp64"), 80.0, 1e-9);
+}
+
+TEST(Figures, TablesReportThePaperPlatform) {
+  const ScenarioResult tables = run_default_point("tables");
+  EXPECT_EQ(metric(tables, "node_count"), 16.0);
+  EXPECT_EQ(metric(tables, "sa_rows"), 4.0);
+  EXPECT_EQ(metric(tables, "sa_cols"), 4.0);
+  EXPECT_NEAR(metric(tables, "cpu_ghz"), 2.2, 1e-9);
+  EXPECT_NEAR(metric(tables, "mmae_ghz"), 2.5, 1e-9);
+  EXPECT_NEAR(metric(tables, "peak_gflops_fp64"), 16 * 80.0, 1e-6);
+}
+
+TEST(Figures, TwoOfFourSparsityStaysUnderItsBound) {
+  const ScenarioResult sparse = run_default_point("ext_sparsity");
+  EXPECT_GT(metric(sparse, "speedup"), 1.5);
+  EXPECT_LT(metric(sparse, "speedup"), 2.0);
+  EXPECT_LT(metric(sparse, "sparse_cycles"), metric(sparse, "dense_cycles"));
+  EXPECT_EQ(metric(sparse, "k_compressed"), 128.0);
+}
+
 // ---- cross-schema constraints ----
 
 TEST(Registry, NodesVersusNodeCountIsADeclaredCrossRule) {
@@ -954,8 +1042,9 @@ TEST(Registry, NodesVersusNodeCountIsADeclaredCrossRule) {
   for (const char* name : {"gemm", "hpl", "baselines", "fig7_scalability"}) {
     const Scenario* scenario = registry.find(name);
     ASSERT_NE(scenario, nullptr) << name;
+    const std::vector<CrossRule> rules = cross_rules(*scenario);
     const bool declared = std::any_of(
-        scenario->cross_rules.begin(), scenario->cross_rules.end(),
+        rules.begin(), rules.end(),
         [](const CrossRule& rule) {
           return rule.rule == "nodes <= node_count";
         });
@@ -979,6 +1068,120 @@ TEST(Sweep, CrossSchemaViolationFailsThePointWithTheRuleText) {
   ASSERT_FALSE(results.rows[2].ok());
   EXPECT_NE(results.rows[2].error.find("nodes <= node_count"),
             std::string::npos);
+}
+
+// The accept/reject decision of every built-in scenario's cross rules,
+// per declared fidelity (analytic for scenarios without one). Columns:
+// no knob changed, dram=queued, icnt=flit, exec=lockstep,
+// profile=counters, nodes=17 (one past the default node_count of 16).
+// 'A' accepted, 'R' rejected by a cross rule, '-' no `nodes` parameter.
+struct RuleDecisions {
+  const char* scenario;
+  const char* fidelity;
+  const char* pattern;
+};
+
+constexpr RuleDecisions kRuleMatrix[] = {
+    {"gemm", "analytic", "ARRRRR"},
+    {"gemm", "detailed", "AAAAAR"},
+    {"gemm", "sampled", "AAAARR"},
+    {"hpl", "analytic", "ARRRRR"},
+    {"hpl", "sampled", "AAAARR"},
+    {"resnet50", "analytic", "ARRRRR"},
+    {"resnet50", "sampled", "AAAARR"},
+    {"bert", "analytic", "ARRRRR"},
+    {"bert", "sampled", "AAAARR"},
+    {"gpt3", "analytic", "ARRRRR"},
+    {"gpt3", "sampled", "AAAARR"},
+    {"baselines", "analytic", "ARRRRR"},
+    {"fig6_translation", "analytic", "ARRRR-"},
+    {"fig7_scalability", "analytic", "ARRRRR"},
+    {"fig7_scalability", "detailed", "AAAAAR"},
+    {"fig7_scalability", "sampled", "AAAARR"},
+    {"fig8_dl_comparison", "analytic", "ARRRRR"},
+    {"ablation_features", "analytic", "ARRRRR"},
+    {"area_power", "analytic", "ARRRR-"},
+    {"ext_sparsity", "analytic", "ARRRR-"},
+    {"tables", "analytic", "ARRRR-"},
+    {"micro_dram", "analytic", "AARRR-"},
+    {"speed", "analytic", "AAARRR"},
+    {"serve", "analytic", "ARRRRR"},
+    {"serve", "detailed", "AAAAAR"},
+    {"graph", "analytic", "ARRRRR"},
+    {"graph", "detailed", "AAAAAR"},
+    {"graph", "sampled", "AAAARR"},
+};
+
+TEST(Registry, CrossRuleDecisionMatrix) {
+  // Stubbed runs: only binding and the cross rules decide a point.
+  const ScenarioRegistry builtin = ScenarioRegistry::builtin();
+  ScenarioRegistry stubbed;
+  for (Scenario scenario : builtin.scenarios()) {
+    scenario.run = [](const ScenarioRequest&) { return ScenarioResult{}; };
+    ASSERT_TRUE(stubbed.add(std::move(scenario)));
+  }
+  const std::pair<const char*, const char*> knobs[] = {
+      {"", ""},
+      {"dram", "queued"},
+      {"icnt", "flit"},
+      {"exec", "lockstep"},
+      {"profile", "counters"},
+      {"nodes", "17"},
+  };
+  for (const RuleDecisions& row : kRuleMatrix) {
+    const Scenario* scenario = stubbed.find(row.scenario);
+    ASSERT_NE(scenario, nullptr) << row.scenario;
+    const bool detailed = std::string(row.fidelity) == "detailed";
+    std::string pattern;
+    for (const auto& [key, value] : knobs) {
+      if (std::string(key) == "nodes" && !scenario->has_param("nodes")) {
+        pattern += '-';
+        continue;
+      }
+      SweepRequest request;
+      request.scenario = row.scenario;
+      // Satisfy the scenarios' own schema constraints, so that only a
+      // cross rule can reject the point.
+      if (scenario->has_param("fidelity")) {
+        request.base_params["fidelity"] = row.fidelity;
+      }
+      if (scenario->has_param("model_file")) {
+        request.base_params["model_file"] = "tiny";
+      }
+      if (detailed && scenario->has_param("size")) {
+        request.base_params["size"] = "256";
+      }
+      if (*key != '\0') request.base_params[key] = value;
+      const SweepRow point = run_sweep(stubbed, request).rows.at(0);
+      if (point.ok()) {
+        pattern += 'A';
+      } else if (point.error.find("violates cross-schema constraint") !=
+                 std::string::npos) {
+        pattern += 'R';
+      } else {
+        ADD_FAILURE() << row.scenario << " " << key << "=" << value
+                      << ": " << point.error;
+        pattern += '?';
+      }
+    }
+    EXPECT_EQ(pattern, row.pattern)
+        << row.scenario << " fidelity=" << row.fidelity;
+  }
+  // The matrix covers every scenario at every declared fidelity.
+  for (const Scenario& scenario : stubbed.scenarios()) {
+    const exp::ParamDecl* fidelity = scenario.schema.find("fidelity");
+    const std::vector<std::string> choices =
+        fidelity != nullptr ? fidelity->choices
+                            : std::vector<std::string>{"analytic"};
+    for (const std::string& choice : choices) {
+      const bool listed = std::any_of(
+          std::begin(kRuleMatrix), std::end(kRuleMatrix),
+          [&](const RuleDecisions& row) {
+            return scenario.name == row.scenario && choice == row.fidelity;
+          });
+      EXPECT_TRUE(listed) << scenario.name << " fidelity=" << choice;
+    }
+  }
 }
 
 TEST(Sweep, UnsetNodesStillFollowsNodeCountUnderTheCrossRule) {

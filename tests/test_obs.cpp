@@ -298,6 +298,49 @@ TEST(TraceCmd, ReportsEmptyTracesInsteadOfCrashing) {
             std::string::npos);
 }
 
+TEST(TraceCmd, RejectsOutOfRangeTimestampsWithATypedError) {
+  // ts + dur beyond 2^63 ps used to overflow llround and wrap the span's
+  // end before its start (an assertion abort); every such number is now
+  // the renderer's error, which `macosim trace` turns into exit 2.
+  for (const char* event :
+       {R"({"ph":"X","name":"a","tid":"t","ts":1e13,"dur":1e14})",
+        R"({"ph":"X","name":"a","tid":"t","ts":1e300,"dur":1})",
+        R"({"ph":"X","name":"a","tid":"t","ts":0,"dur":-1e300})",
+        R"({"ph":"X","name":"a","tid":1e300,"ts":0,"dur":1})"}) {
+    EXPECT_THROW(driver::render_trace(std::string("[") + event + "]", 40),
+                 std::runtime_error)
+        << event;
+  }
+  // The largest timestamps that fit still render.
+  const driver::TraceRender render = driver::render_trace(
+      R"([{"ph":"X","name":"a","tid":"t","ts":9e12,"dur":9e12}])", 40);
+  EXPECT_NE(render.gantt.find("1 span(s) on 1 track(s)"), std::string::npos);
+}
+
+TEST(TraceCmd, GanttSummarySpansTheTraceBounds) {
+  const std::string chart = driver::render_gantt(
+      {SpanRec{"cpu", "setup", 100, 300}, SpanRec{"mmae", "gemm", 200, 900}},
+      10);
+  EXPECT_EQ(chart.rfind("2 span(s) on 2 track(s), 0.0008 us\n", 0), 0u);
+}
+
+TEST(TraceCmd, GanttRowsFollowFirstAppearance) {
+  const std::string chart = driver::render_gantt(
+      {SpanRec{"node1.mmae", "b", 0, 50}, SpanRec{"node0.mmae", "a", 50, 100}},
+      10);
+  const auto pos1 = chart.find("node1.mmae");
+  const auto pos0 = chart.find("node0.mmae");
+  ASSERT_NE(pos1, std::string::npos);
+  ASSERT_NE(pos0, std::string::npos);
+  EXPECT_LT(pos1, pos0);
+}
+
+TEST(TraceCmd, GanttMarksSpanCells) {
+  const std::string chart = driver::render_gantt(
+      {SpanRec{"t", "xxg", 0, 500}, SpanRec{"t", "yyh", 500, 1000}}, 10);
+  EXPECT_NE(chart.find("  t |GGGGGHHHHH|\n"), std::string::npos);
+}
+
 // ---- driver integration: profile knob, trace files, cross rules ----
 
 driver::SweepRequest gemm_point(const std::string& profile) {

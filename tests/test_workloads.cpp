@@ -15,13 +15,6 @@ TEST(Workload, SquareGemmShape) {
   EXPECT_EQ(w.precision, sa::Precision::kFp64);
 }
 
-TEST(Workload, PaperSizeSweeps) {
-  EXPECT_EQ(fig6_sizes().size(), 6u);
-  EXPECT_EQ(fig6_sizes().front(), 256u);
-  EXPECT_EQ(fig6_sizes().back(), 9216u);
-  EXPECT_EQ(fig7_sizes().size(), 11u);  // 256..9216 as in Fig. 7's x-axis
-}
-
 TEST(Workload, ExpandedShapesHonorRepeat) {
   Workload w;
   w.layers.push_back(Layer{"x", sa::TileShape{8, 8, 8}, PostOp::kNone, 3});
